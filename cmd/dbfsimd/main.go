@@ -1,6 +1,6 @@
 // Command dbfsimd is the multi-tenant simulation service daemon: it
 // accepts scenario runs over the wire protocol, schedules them across
-// tenants with weighted fairness and checkpoint preemption, sheds
+// tenants with weighted fairness and live preemption, sheds
 // overload with retriable typed errors, and drains gracefully on
 // SIGTERM — checkpointing every in-flight run to the spool directory so
 // a restarted daemon resumes them bit-identically.

@@ -10,11 +10,13 @@ import "sync/atomic"
 var runObserver atomic.Pointer[func(Stats)]
 
 // ObserveRuns installs fn to be called once per completed run with that
-// run's final Stats. "Completed" means the run loop finished on its own
-// terms — horizon reached or convergence certified — not a snapshot-halt
-// preemption: a service run that is checkpointed and resumed across many
-// quanta carries cumulative Stats through its snapshots and is observed
-// exactly once, when it truly finishes. fn must be safe for concurrent
+// run's final Stats. "Completed" means the run finished on its own terms
+// — horizon reached or convergence certified. A Session advanced across
+// many calls is one run and is observed once, when it finishes; a
+// session closed before it finishes, or a RunSnapshot halted at its
+// snapshot, is not observed. A run checkpointed and resumed elsewhere
+// carries cumulative Stats through its snapshot and is observed exactly
+// once, when the resumed session finishes. fn must be safe for concurrent
 // calls (engines run concurrently) and must not block; it is invoked on
 // the run's goroutine. Passing nil removes the hook.
 func ObserveRuns(fn func(Stats)) {

@@ -11,7 +11,9 @@ import (
 
 // The observer contract: one call per completed run with its final
 // Stats; a snapshot-halt preemption observes nothing (the resumed run
-// observes once, with cumulative counters); removal stops the calls.
+// observes once, with cumulative counters); a live session sliced into
+// many Advance calls observes once, when it finishes; a session closed
+// before it finishes observes nothing; removal stops the calls.
 func TestObserveRuns(t *testing.T) {
 	var mu sync.Mutex
 	var seen []engine.Stats
@@ -73,9 +75,35 @@ func TestObserveRuns(t *testing.T) {
 		t.Fatalf("observed %+v, result says %+v", seen[2], full.Stats())
 	}
 
+	// A live session advanced one step per call is still one run.
+	s := eng.Start(start, src, nil)
+	quanta := 0
+	for !s.Advance(s.Step() + 1) {
+		quanta++
+	}
+	if quanta < 2 {
+		t.Fatalf("session finished in %d quanta; the slicing proves nothing", quanta+1)
+	}
+	if count() != 4 {
+		t.Fatalf("session sliced into %d quanta observed %d times total, want 4", quanta+1, count())
+	}
+	if seen[3] != s.Result().Stats() || seen[3] != res.Stats() {
+		t.Fatalf("sliced session observed %+v, result says %+v, unsliced run %+v", seen[3], s.Result().Stats(), res.Stats())
+	}
+
+	// A session abandoned mid-run is not a completion.
+	s = eng.Start(start, src, nil)
+	if s.Advance(5) {
+		t.Fatal("run finished within 5 steps")
+	}
+	s.Close()
+	if count() != 4 {
+		t.Fatalf("session closed before finishing observed (count %d), want none", count())
+	}
+
 	engine.ObserveRuns(nil)
 	eng.Run(start, src)
-	if count() != 3 {
+	if count() != 4 {
 		t.Fatalf("removed observer still fired (count %d)", count())
 	}
 }

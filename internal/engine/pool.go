@@ -31,7 +31,9 @@ type pool struct {
 
 // job is one step's worth of tasks. fn runs task idx on behalf of worker
 // id; ids 1..helpers are the pool's helpers and id 0 is the submitting
-// goroutine, so per-worker scratch needs helpers+1 slots.
+// goroutine, so per-worker scratch needs helpers+1 slots. A job is
+// reusable: do resets its cursor, and once do returns no helper touches
+// it again, so a run submits the same job step after step.
 type job struct {
 	fn   func(idx, worker int)
 	n    int
@@ -69,10 +71,10 @@ func (p *pool) start() {
 	})
 }
 
-// do runs fn for every task index in [0, n), fanning out across up to
+// do runs j.fn for every task index in [0, n), fanning out across up to
 // want-1 helpers while the calling goroutine works too (as worker 0). It
-// returns when every task has finished.
-func (p *pool) do(want, n int, fn func(idx, worker int)) {
+// returns when every task has finished; j may then be submitted again.
+func (p *pool) do(j *job, want, n int) {
 	helpers := want - 1
 	if helpers > p.helpers {
 		helpers = p.helpers
@@ -80,7 +82,8 @@ func (p *pool) do(want, n int, fn func(idx, worker int)) {
 	if helpers > n-1 {
 		helpers = n - 1
 	}
-	j := &job{fn: fn, n: n}
+	j.n = n
+	j.next.Store(0)
 	p.mu.RLock()
 	if p.closed.Load() {
 		// Closed under us: run everything on the submitting goroutine.

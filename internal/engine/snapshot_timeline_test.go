@@ -9,14 +9,16 @@ import (
 	"repro/internal/matrix"
 )
 
-// The preemption contract: a timeline run chopped into quanta — each
-// slice captured with RunTimelineSnapshot/RestoreTimeline and resumed
-// from its snapshot — must be bit-identical, in cells and counters, to
-// the run that was never paused. This holds both when the same engine
-// resumes (in-process preemption: its adjacency already carries the
-// fired events' mutations) and when a fresh engine resumes from a fresh
-// adjacency with those mutations replayed (the cross-process drain /
-// restart path a checkpointing service takes).
+// The preemption contract: a timeline run chopped into quanta — a live
+// Session advanced quantum by quantum, or a session snapshotted at each
+// quantum end and resumed from the snapshot — must be bit-identical, in
+// cells and counters, to the run that was never paused. This holds when
+// the session stays live (snapshots taken along the way must not perturb
+// it), when the same engine resumes (in-process preemption: its
+// adjacency already carries the fired events' mutations) and when a
+// fresh engine resumes from a fresh adjacency with those mutations
+// replayed (the cross-process drain / restart path a checkpointing
+// service takes).
 
 // flapEvents is a link-flap timeline over meshNet: cut a chord, restore
 // it, cut another, then restore it with a node restart. The Mutate
@@ -88,29 +90,55 @@ func TestTimelineSnapshotSlicedDifferential(t *testing.T) {
 		for _, quantum := range []int{7, 17, 50} {
 			label := fmt.Sprintf("%s quantum=%d", cfg.label, quantum)
 
-			// The uninterrupted run: at=0 disables capture, so this is the
-			// plain timeline evaluation on the interface path.
+			// The uninterrupted run.
 			_, fullAdj := meshNet()
 			fullEng := engine.New(alg, fullAdj, cfg.conf)
-			full, none := fullEng.RunTimelineSnapshot(start, src, events, 0, false)
-			if none != nil {
-				t.Fatalf("%s: at=0 captured a snapshot", label)
-			}
+			full := fullEng.RunTimeline(start, src, events)
 			fullEng.Close()
 
-			// In-process preemption: one engine, sliced; its adjacency
-			// accumulates the events' mutations as the slices play them.
+			// Live preemption: one session advanced quantum by quantum,
+			// snapshotted at every quantum end without being disturbed.
+			_, liveAdj := meshNet()
+			liveEng := engine.New(alg, liveAdj, cfg.conf)
+			live := liveEng.Start(start, src, events)
+			slices := 0
+			for at := nextQuantumEnd(0, quantum, T, isEvent); at != 0; at = nextQuantumEnd(live.Step(), quantum, T, isEvent) {
+				if live.Advance(at) {
+					break
+				}
+				snap, err := live.Snapshot()
+				if err != nil {
+					t.Fatalf("%s: live slice %d: %v", label, slices, err)
+				}
+				if snap.Step != at {
+					t.Fatalf("%s: live snapshot at step %d, want %d", label, snap.Step, at)
+				}
+				slices++
+			}
+			if slices < 2 {
+				t.Fatalf("%s: run never sliced (quantum too big for horizon?)", label)
+			}
+			if !live.Advance(T) {
+				t.Fatalf("%s: live session did not finish at the horizon", label)
+			}
+			identicalStates(t, label+" live final", live.Result().Final(), full.Final())
+			statsMatch(t, label+" live", live.Result().Stats(), full.Stats())
+			liveEng.Close()
+
+			// In-process preemption: one engine; at every quantum end the
+			// session is snapshotted, closed, and resumed from the snapshot.
+			// The engine's adjacency accumulates the events' mutations as
+			// the slices play them.
 			_, adj := meshNet()
 			eng := engine.New(alg, adj, cfg.conf)
-			res, snap := eng.RunTimelineSnapshot(start, src, events, nextQuantumEnd(0, quantum, T, isEvent), true)
-			slices := 1
+			res, snap := sliceTo(t, eng.Start(start, src, events), nextQuantumEnd(0, quantum, T, isEvent))
+			slices = 1
 			for snap != nil {
-				at := nextQuantumEnd(snap.Step, quantum, T, isEvent)
-				var err error
-				res, snap, err = eng.RestoreTimeline(snap, src, remainingEvents(events, snap.Step), at, true)
+				s, err := eng.Resume(snap, src, remainingEvents(events, snap.Step))
 				if err != nil {
 					t.Fatalf("%s: slice %d: %v", label, slices, err)
 				}
+				res, snap = sliceTo(t, s, nextQuantumEnd(snap.Step, quantum, T, isEvent))
 				slices++
 			}
 			if slices < 2 {
@@ -120,13 +148,13 @@ func TestTimelineSnapshotSlicedDifferential(t *testing.T) {
 			statsMatch(t, label+" sliced", res.Stats(), full.Stats())
 			eng.Close()
 
-			// Cross-process resume: every slice restores on a FRESH engine
+			// Cross-process resume: every slice resumes on a FRESH engine
 			// over a FRESH topology with the already-fired events' mutations
 			// replayed — exactly what a daemon does when it reloads a spooled
 			// checkpoint after a restart.
 			_, adj0 := meshNet()
 			eng0 := engine.New(alg, adj0, cfg.conf)
-			res, snap = eng0.RunTimelineSnapshot(start, src, events, nextQuantumEnd(0, quantum, T, isEvent), true)
+			res, snap = sliceTo(t, eng0.Start(start, src, events), nextQuantumEnd(0, quantum, T, isEvent))
 			eng0.Close()
 			for snap != nil {
 				_, fresh := meshNet()
@@ -139,12 +167,11 @@ func TestTimelineSnapshotSlicedDifferential(t *testing.T) {
 					}
 				}
 				e2 := engine.New(alg, fresh, cfg.conf)
-				at := nextQuantumEnd(snap.Step, quantum, T, isEvent)
-				var err error
-				res, snap, err = e2.RestoreTimeline(snap, src, remainingEvents(events, snap.Step), at, true)
+				s, err := e2.Resume(snap, src, remainingEvents(events, snap.Step))
 				if err != nil {
 					t.Fatalf("%s: fresh-engine resume: %v", label, err)
 				}
+				res, snap = sliceTo(t, s, nextQuantumEnd(snap.Step, quantum, T, isEvent))
 				e2.Close()
 			}
 			identicalStates(t, label+" fresh-engine final", res.Final(), full.Final())
@@ -153,9 +180,29 @@ func TestTimelineSnapshotSlicedDifferential(t *testing.T) {
 	}
 }
 
+// sliceTo advances s to step at and pauses it there: it returns the
+// snapshot at that step, with the session closed, or — when the run
+// finishes first or at is 0 (run to completion) — the finished Result.
+func sliceTo[R any](t *testing.T, s *engine.Session[R], at int) (*engine.Result[R], *engine.Snapshot[R]) {
+	t.Helper()
+	if at == 0 {
+		at = s.Step() + 1<<30
+	}
+	if s.Advance(at) {
+		return s.Result(), nil
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatalf("snapshot at step %d: %v", at, err)
+	}
+	s.Close()
+	return nil, snap
+}
+
 // TestRestoreTimelineRejectsBadShapes pins the validation surface of the
-// resume primitive: stale events and event-step snapshot targets must be
-// clean errors, never a wedged or silently wrong run.
+// resume primitive: stale events and snapshots on event steps must be
+// clean errors, and a target in the past must evaluate nothing — never a
+// wedged or silently wrong run.
 func TestRestoreTimelineRejectsBadShapes(t *testing.T) {
 	alg, _ := meshNet()
 	events := flapEvents(alg)
@@ -166,22 +213,30 @@ func TestRestoreTimelineRejectsBadShapes(t *testing.T) {
 	_, adj := meshNet()
 	eng := engine.New(alg, adj, engine.Config{})
 	defer eng.Close()
-	_, snap := eng.RunTimelineSnapshot(start, src, events, 30, true)
+	_, snap := sliceTo(t, eng.Start(start, src, events), 30)
 	if snap == nil || snap.Step != 30 {
 		t.Fatal("no snapshot at step 30")
 	}
 
 	// An event at or before the snapshot step can never fire again; the
 	// caller must pass only the remaining suffix.
-	if _, _, err := eng.RestoreTimeline(snap, src, events, 0, false); err == nil {
-		t.Fatal("RestoreTimeline accepted an already-fired event")
+	if _, err := eng.Resume(snap, src, events); err == nil {
+		t.Fatal("Resume accepted an already-fired event")
 	}
-	// A snapshot target on an event step has no activation to capture.
-	if _, _, err := eng.RestoreTimeline(snap, src, remainingEvents(events, 30), 45, true); err == nil {
-		t.Fatal("RestoreTimeline accepted a snapshot target on an event step")
+	s, err := eng.Resume(snap, src, remainingEvents(events, 30))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A target at or before the snapshot step is in the past.
-	if _, _, err := eng.RestoreTimeline(snap, src, remainingEvents(events, 30), 30, true); err == nil {
-		t.Fatal("RestoreTimeline accepted a snapshot target in the past")
+	defer s.Close()
+	// A snapshot on an event step has no activation to capture after.
+	if s.Advance(45) {
+		t.Fatal("run finished at step 45")
+	}
+	if _, err := s.Snapshot(); err == nil {
+		t.Fatal("Snapshot accepted a timeline event step")
+	}
+	// A target at or before the current step is in the past.
+	if s.Advance(30) || s.Step() != 45 {
+		t.Fatalf("Advance to a past target moved the run to step %d", s.Step())
 	}
 }

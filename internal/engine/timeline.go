@@ -42,7 +42,8 @@ type TimelineEvent[R any] struct {
 	Invalidate []int
 }
 
-// timeline is the runLoop-side cursor over a RunTimeline event list.
+// timeline is a run's cursor over its event list: next is the first
+// event still to fire.
 type timeline[R any] struct {
 	events []TimelineEvent[R]
 	next   int
@@ -60,21 +61,16 @@ type timeline[R any] struct {
 // Callers that need the original topology untouched should build the
 // engine over a clone.
 //
-// Timeline runs always use the interface row representation: the
+// Timeline runs with events use the interface row representation: the
 // columnar backend compiles per-edge kernels against a fixed topology,
 // which a mid-run mutation would invalidate. Early termination (under a
 // Fair source) is suppressed while events are pending and becomes
-// available again after the last event fires.
+// available again after the last event fires. RunTimeline is a Session
+// started with the events and advanced to the horizon in one call.
 func (e *Engine[R]) RunTimeline(start *matrix.State[R], src Source, events []TimelineEvent[R]) *Result[R] {
-	n := src.Nodes()
-	if n != e.adj.N {
-		panic(fmt.Sprintf("engine: source has %d nodes but adjacency has %d", n, e.adj.N))
-	}
-	T := src.Horizon()
-	validateTimeline(events, n, T)
-	window, doTerm, fairP := e.planRun(src)
-	tl := &timeline[R]{events: events}
-	return runLoop(e, genOps[R]{e: e}, start, src, n, window, T, doTerm, fairP, tl, nil, nil)
+	s := e.Start(start, src, events)
+	s.Advance(src.Horizon())
+	return s.Result()
 }
 
 func validateTimeline[R any](events []TimelineEvent[R], n, T int) {

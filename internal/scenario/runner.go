@@ -12,14 +12,18 @@ import (
 )
 
 // Runner is a preemptible scenario run for the service path: the run is
-// advanced in quanta of engine steps, each quantum ends in a resumable
-// engine.Snapshot, and a paused run serialises to a self-describing
-// checkpoint file (the scenario text rides in the checkpoint metadata,
-// so any process can rebuild the instance and resume). The sliced run
-// is bit-identical — cells and work counters — to the run that was
-// never paused; the engine preemption primitives carry that proof, the
-// runner adds the instance rebuild: on resume it replays the mutations
-// of every already-fired event onto a fresh topology before restoring.
+// advanced in quanta of engine steps on one live engine.Session that
+// stays in memory between quanta, and a paused run serialises on demand
+// to a self-describing checkpoint file (the scenario text rides in the
+// checkpoint metadata, so any process can rebuild the instance and
+// resume). Slicing costs nothing: a quantum boundary is just where one
+// Advance call returns and the next begins, and a snapshot is taken only
+// when Checkpoint asks for one. The sliced run — and a run checkpointed,
+// torn down and resumed elsewhere — is bit-identical, cells and work
+// counters, to the run that was never paused; the engine session carries
+// that proof, the runner adds the instance rebuild: on resume it replays
+// the mutations of every already-fired event onto a fresh topology
+// before resuming the session.
 //
 // Unlike Run, which differential-checks a materialised segmented
 // schedule against the reference evaluator, the Runner schedules with
@@ -39,13 +43,12 @@ type Runner struct {
 
 // runnerCore is the family-typed part of a Runner.
 type runnerCore interface {
-	// advance runs from the current position to target (snapshotting and
-	// halting there); target 0 runs to completion. Reports whether the
-	// run finished (horizon reached or convergence certified) and the
-	// step reached.
-	advance(target int) (step int, done bool, err error)
-	// checkpoint serialises the current snapshot (advance must have
-	// halted at least once).
+	// advance runs the session up to step target, reporting whether the
+	// run finished (horizon reached or convergence certified).
+	advance(target int) bool
+	// step is the last completed engine step.
+	step() int
+	// checkpoint serialises a snapshot of the live run.
 	checkpoint() ([]byte, error)
 	finalHash() uint64
 	finalTable() string
@@ -152,7 +155,7 @@ func ResumeRunner(data []byte) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.step, _, _ = r.core.advance(-1) // observe the snapshot position without running
+	r.step = r.core.step()
 	return r, nil
 }
 
@@ -180,11 +183,12 @@ func (r *Runner) Horizon() int { return r.horizon }
 // certified).
 func (r *Runner) Done() bool { return r.done }
 
-// Advance runs one quantum of at most quantum engine steps, pausing in
-// a resumable snapshot (or finishing: a run that certifies convergence
-// or reaches its horizon inside the quantum completes instead). The
-// quantum boundary is bumped past event steps — an event step performs
-// no activation, so there is nothing to capture after it.
+// Advance runs one quantum of at most quantum engine steps and pauses
+// (or finishes: a run that certifies convergence or reaches its horizon
+// inside the quantum completes instead). The run stays live in memory
+// between quanta. The quantum boundary is bumped past event steps — an
+// event step performs no activation, so a checkpoint cannot be taken
+// right after it.
 func (r *Runner) Advance(quantum int) (done bool, err error) {
 	if r.done {
 		return true, nil
@@ -196,21 +200,16 @@ func (r *Runner) Advance(quantum int) (done bool, err error) {
 	for target < r.horizon && r.evStep[target] {
 		target++
 	}
-	if target >= r.horizon {
-		target = 0 // the rest fits in the quantum: run to completion
-	}
-	step, done, err := r.core.advance(target)
-	if err != nil {
-		return false, err
-	}
-	r.step, r.done = step, done
-	return done, nil
+	r.done = r.core.advance(target)
+	r.step = r.core.step()
+	return r.done, nil
 }
 
 // Checkpoint serialises the paused run as a self-describing checkpoint
-// file. The run must have advanced at least once (a never-started run
-// has no snapshot; re-submit its scenario instead) and must not be
-// done.
+// file: a snapshot of the live session, which keeps running undisturbed
+// if advanced further. The run must have advanced at least once (a
+// never-started run has no snapshot; re-submit its scenario instead)
+// and must not be done.
 func (r *Runner) Checkpoint() ([]byte, error) {
 	if r.done {
 		return nil, fmt.Errorf("scenario: run is done, nothing to checkpoint")
@@ -221,8 +220,8 @@ func (r *Runner) Checkpoint() ([]byte, error) {
 	return r.core.checkpoint()
 }
 
-// Stats returns the run counters (final when Done, the snapshot's
-// otherwise).
+// Stats returns the run counters (final when Done, the cumulative
+// counters at the current step otherwise).
 func (r *Runner) Stats() engine.Stats { return r.core.stats() }
 
 // Converged reports certified convergence of a finished run.
@@ -268,19 +267,20 @@ const (
 	metaName     = "name"
 )
 
-// core is the family-typed implementation behind Runner.
+// svcCore is the family-typed implementation behind Runner: the
+// instance, its engine, and the one live session of the run.
 type svcCore[R any] struct {
 	sc     *Scenario
 	family string
 	codec  wire.Codec[R]
 	inst   *instance[R]
 	eng    *engine.Engine[R]
-	events []engine.TimelineEvent[R]
-	snap   *engine.Snapshot[R]
-	res    *engine.Result[R]
-	src    engine.Hashed
+	sess   *engine.Session[R]
 }
 
+// newCore builds the instance and starts its session — or, when snap is
+// non-nil, brings a fresh instance to the snapshot instant and resumes
+// the session from it.
 func newCore[R any](sc *Scenario, family string, codec wire.Codec[R],
 	build func(*Scenario) (*instance[R], error), snap *engine.Snapshot[R]) (*svcCore[R], error) {
 	inst, err := build(sc)
@@ -301,11 +301,22 @@ func newCore[R any](sc *Scenario, family string, codec wire.Codec[R],
 	}
 	c := &svcCore[R]{
 		sc: sc, family: family, codec: codec, inst: inst,
-		eng:  engine.New(inst.alg, inst.adj, engine.Config{}),
-		snap: snap,
-		src:  serviceSource(sc, inst.n),
+		eng: engine.New(inst.alg, inst.adj, engine.Config{}),
 	}
-	c.events = inst.timeline(sc.Events)
+	events := inst.timeline(sc.Events)
+	src := serviceSource(sc, inst.n)
+	if snap == nil {
+		c.sess = c.eng.Start(inst.start, src, events)
+		return c, nil
+	}
+	i := 0
+	for i < len(events) && events[i].Step <= snap.Step {
+		i++
+	}
+	if c.sess, err = c.eng.Resume(snap, src, events[i:]); err != nil {
+		c.eng.Close()
+		return nil, err
+	}
 	return c, nil
 }
 
@@ -318,41 +329,14 @@ func resumeCore[R any](sc *Scenario, data []byte, family string, codec wire.Code
 	return newCore(sc, family, codec, build, f.Snap)
 }
 
-// remaining returns the compiled events strictly after step.
-func (c *svcCore[R]) remaining(step int) []engine.TimelineEvent[R] {
-	i := 0
-	for i < len(c.events) && c.events[i].Step <= step {
-		i++
-	}
-	return c.events[i:]
-}
+func (c *svcCore[R]) advance(target int) bool { return c.sess.Advance(target) }
 
-func (c *svcCore[R]) advance(target int) (int, bool, error) {
-	if target < 0 { // position probe (ResumeRunner)
-		if c.snap == nil {
-			return 0, false, nil
-		}
-		return c.snap.Step, false, nil
-	}
-	if c.snap == nil {
-		res, snap := c.eng.RunTimelineSnapshot(c.inst.start, c.src, c.events, target, true)
-		c.res, c.snap = res, snap
-	} else {
-		res, snap, err := c.eng.RestoreTimeline(c.snap, c.src, c.remaining(c.snap.Step), target, true)
-		if err != nil {
-			return 0, false, err
-		}
-		c.res, c.snap = res, snap
-	}
-	if c.snap == nil { // finished: certified convergence or horizon
-		return c.res.Stats().Steps, true, nil
-	}
-	return c.snap.Step, false, nil
-}
+func (c *svcCore[R]) step() int { return c.sess.Step() }
 
 func (c *svcCore[R]) checkpoint() ([]byte, error) {
-	if c.snap == nil {
-		return nil, fmt.Errorf("scenario: no snapshot to checkpoint")
+	snap, err := c.sess.Snapshot()
+	if err != nil {
+		return nil, err
 	}
 	return checkpoint.Encode(c.codec, &checkpoint.File[R]{
 		Family: c.family,
@@ -360,12 +344,13 @@ func (c *svcCore[R]) checkpoint() ([]byte, error) {
 			metaScenario: string(c.sc.Encode()),
 			metaName:     c.sc.Name,
 		},
-		Snap: c.snap,
+		Snap: snap,
 	})
 }
 
 func (c *svcCore[R]) finalHash() uint64 {
-	final := c.res.Final()
+	res := c.sess.Result()
+	final := res.Final()
 	h := fnv.New64a()
 	var buf [8]byte
 	writeInt := func(v int) {
@@ -389,7 +374,7 @@ func (c *svcCore[R]) finalHash() uint64 {
 			h.Write(b)
 		}
 	}
-	st := c.res.Stats()
+	st := res.Stats()
 	writeInt(st.Steps)
 	writeInt(st.CellsComputed)
 	writeInt(st.RowsComputed)
@@ -401,19 +386,17 @@ func (c *svcCore[R]) finalTable() string {
 	if c.inst.n > 12 {
 		return ""
 	}
-	return c.res.Final().Format(c.inst.alg)
+	return c.sess.Result().Final().Format(c.inst.alg)
 }
 
-func (c *svcCore[R]) stats() engine.Stats {
-	if c.res != nil {
-		return c.res.Stats()
-	}
-	return engine.Stats{}
+func (c *svcCore[R]) stats() engine.Stats { return c.sess.Stats() }
+
+func (c *svcCore[R]) converged() (int, bool) { return c.sess.Result().Converged() }
+
+func (c *svcCore[R]) close() {
+	c.sess.Close()
+	c.eng.Close()
 }
-
-func (c *svcCore[R]) converged() (int, bool) { return c.res.Converged() }
-
-func (c *svcCore[R]) close() { c.eng.Close() }
 
 // Interface conformance (both families).
 var (

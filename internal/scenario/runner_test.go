@@ -147,6 +147,77 @@ func TestRunnerSlicedDifferential(t *testing.T) {
 	}
 }
 
+// TestRunnerCheckpointFromLiveRun pins the durability path of a live
+// run: a checkpoint taken mid-run is a read of the live session, so the
+// run it was taken from must finish exactly as if it had never been
+// checkpointed, and the checkpoint bytes, resumed in a fresh runner,
+// must finish on the same hash.
+func TestRunnerCheckpointFromLiveRun(t *testing.T) {
+	for _, tc := range []struct {
+		name, text string
+	}{
+		{"topo-rip", topoRunnerScenario},
+		{"gadget-wedgie", gadgetRunnerScenario},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wantHash, _, _ := uninterrupted(t, tc.text)
+			for _, quantum := range []int{13, 37, 111} {
+				sc, err := Parse([]byte(tc.text))
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := NewRunner(sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Checkpoint after every quantum; keep the first one taken
+				// at or past mid-horizon.
+				var mid []byte
+				midStep := 0
+				for done := false; !done; {
+					if done, err = r.Advance(quantum); err != nil {
+						t.Fatal(err)
+					}
+					if done {
+						break
+					}
+					data, err := r.Checkpoint()
+					if err != nil {
+						t.Fatalf("quantum=%d: checkpoint at step %d: %v", quantum, r.Step(), err)
+					}
+					if mid == nil && r.Step() >= sc.Horizon/2 {
+						mid, midStep = data, r.Step()
+					}
+				}
+				if got := r.FinalHash(); got != wantHash {
+					t.Fatalf("quantum=%d: checkpointed live run hash %x, uninterrupted %x", quantum, got, wantHash)
+				}
+				r.Close()
+				if mid == nil {
+					t.Fatalf("quantum=%d: run finished before mid-horizon", quantum)
+				}
+
+				r2, err := ResumeRunner(mid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r2.Step() != midStep {
+					t.Fatalf("quantum=%d: resumed at step %d, checkpointed at %d", quantum, r2.Step(), midStep)
+				}
+				for done := false; !done; {
+					if done, err = r2.Advance(quantum); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got := r2.FinalHash(); got != wantHash {
+					t.Fatalf("quantum=%d: resumed mid-run checkpoint hash %x, uninterrupted %x", quantum, got, wantHash)
+				}
+				r2.Close()
+			}
+		})
+	}
+}
+
 func TestRunnerCheckpointLifecycleErrors(t *testing.T) {
 	sc, err := Parse([]byte(topoRunnerScenario))
 	if err != nil {

@@ -26,6 +26,7 @@ type RunInfo struct {
 	Horizon  int64    `json:"horizon"`
 	Cells    int64    `json:"cells_computed"`
 	Resumed  bool     `json:"resumed,omitempty"`
+	Handoffs int      `json:"handoffs,omitempty"` // quanta run on a different worker than the quantum before
 	Finished bool     `json:"finished,omitempty"`
 	Outcome  string   `json:"outcome,omitempty"`
 	Trace    []string `json:"trace,omitempty"`
@@ -45,7 +46,7 @@ func (s *Server) recordFinishedLocked(r *run, outcome string) {
 	info := RunInfo{
 		Key: r.key, Tenant: r.tenant.name, ID: r.id,
 		Phase: "finished", Step: int64(r.step), Horizon: int64(r.sc.Horizon),
-		Cells: r.cells, Resumed: r.resumed, Finished: true, Outcome: outcome,
+		Cells: r.cells, Resumed: r.resumed, Handoffs: r.handoffs, Finished: true, Outcome: outcome,
 		Trace: traceLines(r.renderTraceLocked()),
 	}
 	s.finished = append(s.finished, finishedRun{info: info, at: time.Now()})
@@ -77,7 +78,7 @@ func (s *Server) RunsSnapshot() []RunInfo {
 		live = append(live, RunInfo{
 			Key: r.key, Tenant: r.tenant.name, ID: r.id,
 			Phase: phase.String(), Step: int64(r.step), Horizon: int64(r.sc.Horizon),
-			Cells: r.cells, Resumed: r.resumed,
+			Cells: r.cells, Resumed: r.resumed, Handoffs: r.handoffs,
 			Trace: traceLines(r.renderTraceLocked()),
 		})
 	}

@@ -39,7 +39,7 @@ func newSrvMetrics(reg *metrics.Registry) *srvMetrics {
 		vtimeLag: reg.GaugeVec("dbfsimd_tenant_vtime_lag",
 			"Tenant virtual time minus the global virtual clock; positive means ahead of fair share.", "tenant"),
 		preemptions: reg.Counter("dbfsimd_preemptions_total",
-			"Quanta that ended with the run parked at a snapshot boundary rather than finished."),
+			"Quanta that ended with the run parked at a quantum boundary rather than finished."),
 		quantumSec: reg.Histogram("dbfsimd_quantum_seconds",
 			"Wall-clock duration of one scheduling quantum (engine advance plus any configured stall).",
 			metrics.DurationBuckets()),

@@ -11,17 +11,18 @@
 //     weight, and the next quantum always goes to the runnable tenant
 //     with the least virtual time — a late tenant's first run starts at
 //     the current virtual clock and is therefore scheduled next;
-//   - checkpoint preemption: runs execute in bounded quanta, each
-//     quantum ending in a resumable engine snapshot, so a long run
-//     cannot hold a worker while other tenants starve, and a paused run
-//     resumes bit-identically (cells and counters) when its turn comes
-//     back;
+//   - live preemption: runs execute in bounded quanta on one live
+//     engine session each, kept in memory between quanta and advanced
+//     by whichever worker takes the next quantum, so a long run cannot
+//     hold a worker while other tenants starve, and a paused run
+//     continues bit-identically (cells and counters) when its turn
+//     comes back, at no cost over running unpaused;
 //   - graceful drain: Drain stops admission with CodeDraining, parks
-//     every in-flight run at its quantum boundary, and spools the
-//     snapshots (with the scenario text embedded) to the spool
-//     directory; a restarted server re-admits them and the resumed runs
-//     finish with exactly the result the uninterrupted runs would have
-//     produced.
+//     every in-flight run at its quantum boundary, and spools a
+//     snapshot of each (with the scenario text embedded) to the spool
+//     directory, fsynced; a restarted server re-admits them and the
+//     resumed runs finish with exactly the result the uninterrupted
+//     runs would have produced.
 package server
 
 import (
@@ -175,6 +176,11 @@ type run struct {
 	traceTail    []spanEvent // rolling window of the most recent events
 	traceDropped int
 	quanta       int // quanta executed so far, for span labels
+	// worker is the worker (1-based) that ran the latest quantum;
+	// handoffs counts quanta that ran on a different worker than the
+	// quantum before — the live run moving between goroutines.
+	worker   int
+	handoffs int
 }
 
 // Server is the dbfsimd daemon core.
@@ -226,9 +232,9 @@ func New(cfg Config) (*Server, error) {
 	s.ln = ln
 	s.acceptWG.Add(1)
 	go s.acceptLoop()
-	for i := 0; i < cfg.Workers; i++ {
+	for i := 1; i <= cfg.Workers; i++ {
 		s.workerWG.Add(1)
-		go s.worker()
+		go s.worker(i)
 	}
 	s.cfg.Logf("server: listening on %s (%d workers, quantum %d)", ln.Addr(), cfg.Workers, cfg.Quantum)
 	return s, nil
@@ -269,10 +275,10 @@ func (s *Server) enqueueLocked(r *run) {
 	s.cond.Signal()
 }
 
-// nextLocked blocks for the next run to advance: the FIFO head of the
-// runnable tenant with minimal virtual time. Returns nil when the
-// server stops (close or drain).
-func (s *Server) nextLocked() *run {
+// nextLocked blocks for the next run for worker to advance: the FIFO
+// head of the runnable tenant with minimal virtual time. Returns nil
+// when the server stops (close or drain).
+func (s *Server) nextLocked(worker int) *run {
 	for {
 		if s.closed || s.draining {
 			return nil
@@ -293,6 +299,10 @@ func (s *Server) nextLocked() *run {
 			s.vclock = best.vtime
 			r.running = true
 			r.quanta++
+			if r.worker != 0 && r.worker != worker {
+				r.handoffs++
+			}
+			r.worker = worker
 			r.phase = wire.PhaseRunning
 			r.spanLocked("scheduled quantum %d (vtime %.1f)", r.quanta, best.vtime)
 			s.met.queueDepth.Dec()
@@ -302,11 +312,11 @@ func (s *Server) nextLocked() *run {
 	}
 }
 
-func (s *Server) worker() {
+func (s *Server) worker(id int) {
 	defer s.workerWG.Done()
 	for {
 		s.mu.Lock()
-		r := s.nextLocked()
+		r := s.nextLocked(id)
 		s.mu.Unlock()
 		if r == nil {
 			return
@@ -380,13 +390,16 @@ func (s *Server) advance(r *run) {
 	r.cells = int64(r.runner.Stats().CellsComputed)
 	r.spanLocked("quantum %d: steps %d→%d (cells %d), preempted", r.quanta, before, r.step, r.cells)
 	s.met.preemptions.Inc()
+	// Push the progress Status before requeueing, still under the lock:
+	// once queued, another worker may run the next quantum, finish the
+	// run and push its terminal Result, which must never overtake this
+	// frame. push does not block.
 	status := s.statusLocked(r)
-	s.enqueueLocked(r)
-	subs := append([]*clientConn(nil), r.subs...)
-	s.mu.Unlock()
-	for _, cc := range subs {
+	for _, cc := range r.subs {
 		cc.push(status, false)
 	}
+	s.enqueueLocked(r)
+	s.mu.Unlock()
 }
 
 // stepEstimate reports the run's last completed step without requiring
@@ -758,14 +771,49 @@ func (s *Server) Drain(ctx context.Context) (int, error) {
 	return spooled, nil
 }
 
-// writeFileAtomic writes via a temp file + rename, so a crash mid-drain
-// never leaves a torn spool file for recovery to trip on.
-func writeFileAtomic(path string, data []byte) error {
+// writeFileAtomic writes data to a temp file, fsyncs and closes it,
+// renames it over path and fsyncs the directory, so after a crash at any
+// point recovery finds either no entry or the complete file — never a
+// torn one, and never a rename the directory forgot. On error the temp
+// file is removed.
+func writeFileAtomic(path string, data []byte) (err error) {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	defer func() {
+		if err != nil {
+			os.Remove(tmp)
+		}
+	}()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err = os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory, making the entries renamed into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // recoverSpool re-admits every spooled run. Checkpointed runs carry
@@ -918,8 +966,19 @@ type clientConn struct {
 	wg     sync.WaitGroup
 }
 
+// outboxSize bounds a connection's queued outgoing frames, so a client
+// that stops reading costs the server a fixed amount of memory.
+// Progress Status frames may only fill it up to terminalReserve free
+// slots: a fast run emits one per quantum, and without the reserve a
+// burst of them could leave no room for the terminal frame that ends
+// the request.
+const (
+	outboxSize      = 64
+	terminalReserve = 16
+)
+
 func newClientConn(conn *transport.Conn, logf func(format string, args ...any)) *clientConn {
-	cc := &clientConn{conn: conn, logf: logf, out: make(chan []byte, 64)}
+	cc := &clientConn{conn: conn, logf: logf, out: make(chan []byte, outboxSize)}
 	cc.wg.Add(1)
 	go cc.writeLoop()
 	return cc
@@ -936,9 +995,10 @@ func (cc *clientConn) writeLoop() {
 	}
 }
 
-// push enqueues a frame. Non-terminal frames are dropped when the
-// outbox is full; a terminal frame that does not fit closes the
-// connection instead of blocking.
+// push enqueues a frame. Non-terminal frames are dropped once fewer
+// than terminalReserve outbox slots are free (progress is advisory: the
+// next Status supersedes a dropped one); a terminal frame that does not
+// fit closes the connection instead of blocking.
 func (cc *clientConn) push(f wire.Frame, terminal bool) {
 	b, err := wire.EncodeFrame(f)
 	if err != nil {
@@ -946,7 +1006,7 @@ func (cc *clientConn) push(f wire.Frame, terminal bool) {
 		return
 	}
 	cc.mu.Lock()
-	if cc.closed {
+	if cc.closed || (!terminal && len(cc.out) >= cap(cc.out)-terminalReserve) {
 		cc.mu.Unlock()
 		return
 	}

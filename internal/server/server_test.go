@@ -776,3 +776,159 @@ func TestNameValidation(t *testing.T) {
 		}
 	}
 }
+
+// handoffScenario keeps a small ring busy for ~2900 steps (the late
+// event blocks certification), so one-step quanta give a long run of
+// scheduling decisions for a hand-off to show up in.
+const handoffScenario = `scenario handoff
+topo ring 8 rip
+seed 5
+horizon 3000
+at 2900 linkdown 0 1
+`
+
+// TestLiveRunHandOffBetweenWorkers moves one live run between workers:
+// with two workers and one-step quanta, successive quanta of the same
+// run land on different worker goroutines, so its engine session is
+// advanced from one goroutine, parked, and picked up by another. The
+// run must still finish with the hash of the unsliced run. Under -race
+// this is the check that a session carries no goroutine affinity and
+// that the scheduler's hand-off orders every access to it.
+func TestLiveRunHandOffBetweenWorkers(t *testing.T) {
+	// On one P the worker that requeues a run always takes it straight
+	// back (the woken worker cannot run until it blocks); two Ps let the
+	// workers race for the queue as they do on any multi-core host.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	goroutines := runtime.NumGoroutine()
+	want := uninterruptedRun(t, handoffScenario)
+
+	s, err := New(Config{Workers: 2, Quantum: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := testCtx(t)
+	c, err := DialClient(ctx, s.Addr(), "solo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Which worker takes a requeued run is up to the Go scheduler, so a
+	// run may rarely keep one worker throughout; each attempt is one
+	// complete live run, and one of them must change hands.
+	handoffs := 0
+	for attempt := 0; attempt < 3 && handoffs == 0; attempt++ {
+		id := fmt.Sprintf("live%d", attempt)
+		res, err := c.Run(ctx, id, []byte(handoffScenario), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRun(t, "handed-off run", res, want)
+		s.mu.Lock()
+		for _, f := range s.finished {
+			if f.info.Key == "solo/"+id {
+				handoffs = f.info.Handoffs
+			}
+		}
+		s.mu.Unlock()
+		t.Logf("attempt %d: %d one-step quanta, handed between workers %d times", attempt, res.Steps, handoffs)
+	}
+	if handoffs == 0 {
+		t.Fatal("no run of one-step quanta ever changed worker; the hand-off went untested")
+	}
+
+	c.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkGoroutines(t, goroutines)
+}
+
+// TestWriteFileAtomicErrorLeavesNoTemp pins the spool writer's failure
+// path: a write that cannot complete returns its error and leaves no
+// .tmp file behind for recovery to trip on.
+func TestWriteFileAtomicErrorLeavesNoTemp(t *testing.T) {
+	noTemp := func(t *testing.T, dir string) {
+		t.Helper()
+		tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tmps) != 0 {
+			t.Fatalf("failed write left temp files: %v", tmps)
+		}
+	}
+	t.Run("unwritable-dir", func(t *testing.T) {
+		if os.Geteuid() == 0 {
+			t.Skip("root writes through directory permissions")
+		}
+		dir := t.TempDir()
+		if err := os.Chmod(dir, 0o555); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { os.Chmod(dir, 0o755) })
+		if err := writeFileAtomic(filepath.Join(dir, "a~b.ckpt"), []byte("x")); err == nil {
+			t.Fatal("write into an unwritable directory succeeded")
+		}
+		noTemp(t, dir)
+	})
+	t.Run("missing-dir", func(t *testing.T) {
+		dir := t.TempDir()
+		if err := writeFileAtomic(filepath.Join(dir, "gone", "a~b.ckpt"), []byte("x")); err == nil {
+			t.Fatal("write into a missing directory succeeded")
+		}
+		noTemp(t, dir)
+	})
+	t.Run("rename-fails", func(t *testing.T) {
+		// The temp file is written and synced, then the rename fails
+		// because the target is a non-empty directory.
+		dir := t.TempDir()
+		target := filepath.Join(dir, "a~b.ckpt")
+		if err := os.MkdirAll(filepath.Join(target, "occupied"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFileAtomic(target, []byte("x")); err == nil {
+			t.Fatal("rename over a non-empty directory succeeded")
+		}
+		noTemp(t, dir)
+	})
+	t.Run("ok", func(t *testing.T) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "a~b.ckpt")
+		if err := writeFileAtomic(path, []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != "payload" {
+			t.Fatalf("read back %q, %v", got, err)
+		}
+		noTemp(t, dir)
+	})
+}
+
+// TestPushKeepsRoomForTerminalFrames pins the outbox policy: a burst of
+// progress Status frames larger than the outbox — one per quantum of a
+// fast run, to a client that has not read them yet — is cut off short
+// of the reserve, so the terminal Result still fits and the connection
+// stays open.
+func TestPushKeepsRoomForTerminalFrames(t *testing.T) {
+	// No write loop: nothing drains the outbox, as with a client that is
+	// busy elsewhere.
+	cc := &clientConn{logf: t.Logf, out: make(chan []byte, outboxSize)}
+	for q := 0; q < 2*outboxSize; q++ {
+		cc.push(wire.Status{ID: "r", Step: int64(q)}, false)
+	}
+	if got, want := len(cc.out), outboxSize-terminalReserve; got != want {
+		t.Fatalf("%d progress frames queued, want %d (the rest dropped)", got, want)
+	}
+	cc.push(wire.Result{ID: "r", Hash: 1}, true)
+	if cc.closed {
+		t.Fatal("terminal frame found no room and closed the connection")
+	}
+	var last []byte
+	for len(cc.out) > 0 {
+		last = <-cc.out
+	}
+	if f, err := wire.DecodeFrame(last); err != nil {
+		t.Fatal(err)
+	} else if res, ok := f.(wire.Result); !ok || res.Hash != 1 {
+		t.Fatalf("last queued frame is %#v, want the Result", f)
+	}
+}
