@@ -2,11 +2,15 @@
 // integer PathID such that equal paths always receive the same id. Paths
 // are stored as a parent-pointer trie — an interned non-empty path is
 // (parent PathID, head Arc), the head arc prepended to the parent path —
-// so Extend is one map probe (amortised O(1), allocation-free once the
-// path exists), equality is a single integer compare, and loop detection
-// consults a per-id node-membership summary (a bloom word) before falling
-// back to the parent walk. The Table is safe for concurrent use; lookups
-// of already-interned paths proceed under a shared read lock.
+// and each entry also records its first few children inline. A non-empty
+// path p can only be extended by an arc (i, head(p).From), so an Extend
+// hit is one entry load: check the source, then scan the child slots for
+// i. Only extensions of the empty path and children beyond the slot count
+// go through a map probe. Extend is allocation-free once the path exists,
+// equality is a single integer compare, and loop detection consults a
+// per-id node-membership summary (a bloom word) before falling back to
+// the parent walk. The Table is safe for concurrent use; lookups of
+// already-interned paths proceed under a shared read lock.
 //
 // This is the NDN-DPDK recipe — intern variable-length name-like data
 // into fixed-size ids with pooled storage — applied to the simple paths
@@ -34,6 +38,19 @@ func (p PathID) IsInvalid() bool { return p < 0 }
 // IsEmpty reports whether the id denotes [].
 func (p PathID) IsEmpty() bool { return p == EmptyID }
 
+// kidSlots is how many children an entry records inline. Most interned
+// paths are extended by few distinct tail nodes (a node's in-degree bounds
+// them), so a handful of slots answers nearly every hit without the map.
+const kidSlots = 3
+
+// child is one inline child slot: the path (from, head(p).From) :: p has
+// id id. A zero id marks an unused slot; slots fill in order and are
+// never cleared.
+type child struct {
+	from int32
+	id   PathID
+}
+
 // entry is one interned non-empty path: head is the first arc and parent
 // the id of the remaining suffix, so the arc sequence of id p is
 // head(p), head(parent(p)), … down to EmptyID.
@@ -43,12 +60,13 @@ type entry struct {
 	last   int32  // destination node (the last node of the path)
 	length int32  // number of arcs
 	bloom  uint64 // membership summary over all nodes of the path
+	kids   [kidSlots]child
 }
 
-// extKey is the hash-consing key of Extend: extending parent by the arc
-// (i, j). For a non-empty parent j is redundant (it must equal the
-// parent's source) but including it keeps the empty-parent case — where j
-// is free — in the same map.
+// extKey is the hash-consing key of the children that do not sit in a
+// slot: extending parent by the arc (i, j). For a non-empty parent j is
+// redundant (it must equal the parent's source) but including it keeps
+// the empty-parent case — where j is free — in the same map.
 type extKey struct {
 	parent PathID
 	i, j   int32
@@ -56,11 +74,13 @@ type extKey struct {
 
 // Table is a hash-consing table for simple paths. The zero value is not
 // usable; construct with NewTable. All methods are safe for concurrent
-// use.
+// use: child slots and the index are written under the write lock only.
 type Table struct {
 	mu      sync.RWMutex
 	entries []entry
-	index   map[extKey]PathID
+	// index holds the extensions of EmptyID and the children of entries
+	// whose slots are full.
+	index map[extKey]PathID
 	// aliased records whether any interned node falls outside [0, 63];
 	// while false, the bloom word is an exact membership set and the
 	// parent-walk fallback of Contains is never needed.
@@ -183,27 +203,18 @@ func (t *Table) Extend(p PathID, i, j int) PathID {
 	if p.IsInvalid() || i == j {
 		return InvalidID
 	}
-	key := extKey{parent: p, i: int32(i), j: int32(j)}
 	t.mu.RLock()
-	// Probe the index before validating: a hit proves the extension was
-	// validated when first interned, so the steady state never pays the
-	// membership walk.
-	if id, ok := t.index[key]; ok {
-		t.mu.RUnlock()
+	id, ok := t.lookup(p, i, j)
+	t.mu.RUnlock()
+	if ok {
 		return id
 	}
-	if p != EmptyID {
-		if int(t.at(p).head.From) != j || t.contains(p, i) {
-			t.mu.RUnlock()
-			return InvalidID
-		}
-	}
-	t.mu.RUnlock()
 	// Validity of (p, i, j) is immutable — paths never change once
-	// interned — so it need not be re-checked under the write lock.
+	// interned — so only the child search is repeated under the write
+	// lock, in case another writer interned the path meanwhile.
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if id, ok := t.index[key]; ok {
+	if id, ok := t.find(p, i, j); ok {
 		return id
 	}
 	e := entry{parent: p, head: Arc{From: i, To: j}, last: int32(j), length: 1, bloom: nodeBit(i) | nodeBit(j)}
@@ -217,9 +228,56 @@ func (t *Table) Extend(p PathID, i, j int) PathID {
 		t.aliased = true
 	}
 	t.entries = append(t.entries, e)
-	id := PathID(len(t.entries))
-	t.index[key] = id
+	id = PathID(len(t.entries))
+	if p != EmptyID {
+		kids := &t.at(p).kids
+		for k := range kids {
+			if kids[k].id == EmptyID {
+				kids[k] = child{from: int32(i), id: id}
+				return id
+			}
+		}
+	}
+	t.index[extKey{parent: p, i: int32(i), j: int32(j)}] = id
 	return id
+}
+
+// lookup answers Extend(p, i, j) for a valid p and i ≠ j under the read
+// lock: ok is true with the interned id, or with InvalidID when the
+// extension is provably not simple, and false when the path is valid but
+// not interned yet. The child search runs before the loop check, so the
+// steady state never pays the membership test.
+func (t *Table) lookup(p PathID, i, j int) (PathID, bool) {
+	if p != EmptyID && int(t.at(p).head.From) != j {
+		return InvalidID, true
+	}
+	if id, ok := t.find(p, i, j); ok {
+		return id, true
+	}
+	if p != EmptyID && t.contains(p, i) {
+		return InvalidID, true
+	}
+	return InvalidID, false
+}
+
+// find returns the interned id of (i, j) :: p if there is one; callers
+// hold at least the read lock and, for a non-empty p, have checked that
+// j is p's source. A child of a non-empty parent sits in a slot unless
+// all slots were taken when it was interned.
+func (t *Table) find(p PathID, i, j int) (PathID, bool) {
+	if p != EmptyID {
+		kids := &t.at(p).kids
+		for k := range kids {
+			switch c := kids[k]; {
+			case c.id == EmptyID:
+				return InvalidID, false // a free slot: no child went to the map
+			case c.from == int32(i):
+				return c.id, true
+			}
+		}
+	}
+	id, ok := t.index[extKey{parent: p, i: int32(i), j: int32(j)}]
+	return id, ok
 }
 
 // pendingID is an internal sentinel used by ExtendSel to mark cells whose
@@ -231,7 +289,7 @@ const pendingID PathID = -2
 // the ascending absolute indices in sel, or all of [j0, j1) when sel is
 // nil — under a single read-lock acquisition. A convergence sweep extends
 // whole columns by the same arc, so the batch turns one lock round-trip
-// and one index probe per cell into one lock round-trip per (edge, span);
+// per cell into one per (edge, span), and a hit costs one entry load;
 // only genuinely new paths fall back to the write path, and paths are
 // immutable once interned, so the late re-probe inside Extend is safe.
 func (t *Table) ExtendSel(src, out []PathID, sel []int32, j0, j1, i, j int) {
@@ -278,19 +336,14 @@ func (t *Table) ExtendSel(src, out []PathID, sel []int32, j0, j1, i, j int) {
 }
 
 // extendLocked resolves one extension under the read lock held by
-// ExtendSel: an index hit or a provable invalidity answers immediately;
-// anything else is marked pending for the write path.
+// ExtendSel: a hit or a provable invalidity answers immediately; anything
+// else is marked pending for the write path.
 func (t *Table) extendLocked(p PathID, i, j int, miss *bool) PathID {
 	if p.IsInvalid() {
 		return InvalidID
 	}
-	if id, ok := t.index[extKey{parent: p, i: int32(i), j: int32(j)}]; ok {
+	if id, ok := t.lookup(p, i, j); ok {
 		return id
-	}
-	if p != EmptyID {
-		if int(t.at(p).head.From) != j || t.contains(p, i) {
-			return InvalidID
-		}
 	}
 	*miss = true
 	return pendingID

@@ -182,7 +182,8 @@ func TestInternRoundTrip(t *testing.T) {
 
 // TestInternConcurrent hammers one table from several goroutines; the
 // race detector checks the locking discipline, and hash-consing must
-// still be canonical afterwards.
+// still be canonical afterwards. The second half drives one parent past
+// its child slots from Extend and both ExtendSel forms at once.
 func TestInternConcurrent(t *testing.T) {
 	tab := NewTable()
 	const n = 6
@@ -211,5 +212,110 @@ func TestInternConcurrent(t *testing.T) {
 		if ids[g] != ids[g%2] {
 			t.Fatalf("goroutine %d interned a divergent id", g)
 		}
+	}
+
+	internConcurrentOverflow(t)
+}
+
+// internConcurrentOverflow extends one parent by more tail nodes than it
+// has child slots, so late children go to the overflow index, through
+// Extend, dense ExtendSel and sparse ExtendSel on concurrent goroutines,
+// mixed with extensions of the empty path and with arcs whose head does
+// not match the parent's source. Every goroutine must see the same ids,
+// and each id must denote the path a fresh single-threaded table gives
+// for the same extension.
+func internConcurrentOverflow(t *testing.T) {
+	const (
+		tails = 3 * kidSlots
+		far   = 50 // a head node no extension of root can have
+		reps  = 20
+		gs    = 9
+		unset = PathID(-99)
+	)
+	tab := NewTable()
+	root := tab.Extend(EmptyID, 0, 1) // 0->1: only arcs (i, 0) extend it
+	src := []PathID{root, EmptyID, root, InvalidID, root}
+	sel := []int32{0, 1, 4}
+	heads := []int{0, far}
+	// got[g][k][h][x]: goroutine g's id for cell x extended by the arc
+	// (2+k, heads[h]).
+	got := make([][tails][2][5]PathID, gs)
+	var wg sync.WaitGroup
+	for g := 0; g < gs; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < reps; rep++ {
+				for step := 0; step < tails; step++ {
+					k := (step + g) % tails // a different insertion order per goroutine
+					for h, j := range heads {
+						out := got[g][k][h][:]
+						for x := range out {
+							out[x] = unset
+						}
+						switch g % 3 {
+						case 0:
+							tab.ExtendSel(src, out, nil, 0, len(src), 2+k, j)
+						case 1:
+							tab.ExtendSel(src, out, sel, 0, len(src), 2+k, j)
+						default:
+							for x := range src {
+								out[x] = tab.Extend(src[x], 2+k, j)
+							}
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	ref := NewTable()
+	refSrc := []PathID{ref.Extend(EmptyID, 0, 1), EmptyID, ref.Extend(EmptyID, 0, 1), InvalidID, ref.Extend(EmptyID, 0, 1)}
+	selected := func(g, x int) bool {
+		if g%3 != 1 {
+			return true
+		}
+		for _, s := range sel {
+			if int(s) == x {
+				return true
+			}
+		}
+		return false
+	}
+	for k := 0; k < tails; k++ {
+		for h, j := range heads {
+			for x := range src {
+				want := ref.Extend(refSrc[x], 2+k, j)
+				canon := got[0][k][h][x]
+				if !ref.Path(want).Equal(tab.Path(canon)) {
+					t.Fatalf("Extend(%s, %d, %d) = %s, single-threaded table gives %s",
+						tab.String(src[x]), 2+k, j, tab.String(canon), ref.String(want))
+				}
+				if src[x] == root && j != 0 && !canon.IsInvalid() {
+					t.Fatalf("mismatched head (%d, %d) extended 0->1", 2+k, j)
+				}
+				for g := 1; g < gs; g++ {
+					id := got[g][k][h][x]
+					if !selected(g, x) {
+						if id != unset {
+							t.Fatalf("sparse ExtendSel wrote unselected cell %d", x)
+						}
+						continue
+					}
+					if id != canon {
+						t.Fatalf("goroutine %d: id %d for %s, goroutine 0 has %d", g, id, tab.String(id), canon)
+					}
+				}
+			}
+		}
+	}
+	if tab.Size() != ref.Size() {
+		t.Fatalf("table size %d, single-threaded table %d", tab.Size(), ref.Size())
+	}
+	// root, (i, 0) and (i, far) from the empty path, and root's children
+	// beyond its slots.
+	if want := 1 + 2*tails + tails - kidSlots; len(tab.index) != want {
+		t.Fatalf("index holds %d extensions, want %d", len(tab.index), want)
 	}
 }

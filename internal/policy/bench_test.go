@@ -38,6 +38,23 @@ func BenchmarkEdgeApply(b *testing.B) {
 	}
 }
 
+// BenchmarkEdgeApplyInterned is BenchmarkEdgeApply over the interned
+// carrier: a warm table lookup for the extension, then the policy program
+// compiled once by Edge.
+func BenchmarkEdgeApplyInterned(b *testing.B) {
+	alg := NewInterned(nil)
+	e := alg.Edge(6, 5, If(InComm(1), IncrPrefBy(1)))
+	r := alg.FromRoute(benchRoute())
+	sink := e.Apply(r) // interns the extension
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink = e.Apply(r)
+	}
+	if sink.IsInvalid() {
+		b.Fatal("extension rejected")
+	}
+}
+
 func BenchmarkChoice(b *testing.B) {
 	alg := Algebra{}
 	x := benchRoute()

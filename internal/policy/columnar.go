@@ -15,9 +15,10 @@ import (
 // fit their fields, and path lengths stay far below 2²⁴ (paths are simple,
 // so length is bounded by the node count) — which is all the change
 // tracking needs. Unlike the scalar algebras the packed words are NOT
-// order-monotone; the compiled kernel instead runs the Section 7 decision
-// procedure explicitly on the decoded fields, with the batched ExtendSel
-// doing path extension for the whole column under one table lock.
+// order-monotone; the compiled kernel instead runs the edge's compiled
+// policy program (program.run) on the decoded fields and then the Section
+// 7 decision procedure explicitly, with the batched ExtendSel doing path
+// extension for the whole column under one table lock.
 
 const (
 	polInvW  = ^uint64(0)
@@ -73,14 +74,15 @@ func (*Interned) DecodeCol(src core.Col, dst []IRoute) {
 }
 
 // CompileEdge implements core.Columnar for the edges built by Edge. Any
-// policy program compiles — the kernel reuses the concrete interpreter —
-// so the whole Section 7 language runs columnar.
+// policy compiles — the kernel runs the program Edge compiled, the same
+// interpreter as polEdge.Apply — so the whole Section 7 language runs
+// columnar.
 func (t *Interned) CompileEdge(e core.Edge[IRoute]) core.ColKernel {
 	pe, ok := e.(*polEdge)
 	if !ok || pe.t != t {
 		return nil
 	}
-	tab, i, j, pol := t.Tab, pe.i, pe.j, pe.pol
+	tab, i, j, prog := t.Tab, pe.i, pe.j, pe.prog
 	return func(dst, src core.Col, sel []int32, j0, j1 int, s *core.ColScratch) {
 		s.Grow(len(src.ID), 1)
 		ext := s.ID
@@ -93,7 +95,7 @@ func (t *Interned) CompileEdge(e core.Edge[IRoute]) core.ColKernel {
 				return // source invalid, or the extension loops
 			}
 			w0 := sm[2*x]
-			r := t.apply(pol, IRoute{
+			r := prog.run(t, IRoute{
 				LPref: uint32(w0 >> 32),
 				Comms: CommunitySet(sm[2*x+1]),
 				ID:    nid,

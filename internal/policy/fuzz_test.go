@@ -46,25 +46,34 @@ func FuzzParsePolicy(f *testing.F) {
 // Equal on random interned routes, and (b) the compiled columnar kernel
 // folded over a random column must produce exactly the cells of the
 // interface path — dst[x] = Choice(incumbent[x], edge.Apply(src[x])) —
-// including tie-breaks, invalid sources and looping extensions.
+// including tie-breaks, invalid sources and looping extensions. The
+// kernel and the interned edge run the same compiled program, so (c)
+// checks the fold against the reference carrier as well, whose AST
+// interpreter shares no code with it.
 func FuzzColumnarPolicy(f *testing.F) {
 	f.Add("lp+=1", int64(1))
 	f.Add("addc(3); if (comm(3) & !path(2)) { lp+=10 } else { reject }", int64(2))
 	f.Add("prepend(2); delc(1)", int64(3))
 	f.Add("if (lp==0) { reject }", int64(4))
+	f.Add("if (comm(1)) { if (path(3) | lp==2) { lp+=1 } else { addc(2); reject } } else { if (!comm(2)) { prepend(1) } }", int64(5))
+	f.Add("if (path(0) & (path(4) | !comm(5))) { reject }; addc(1); if (!(path(3) & comm(2))) { lp+=3 } else { delc(1) }", int64(6))
+	f.Add("if (path(7)) { addc(6) } else { if (path(2)) { reject } }; if (comm(6) | lp==1) { prepend(3) }", int64(7))
 	f.Fuzz(func(t *testing.T, src string, seed int64) {
 		pol, err := ParsePolicy(src)
 		if err != nil {
 			return
 		}
 		alg := NewInterned(nil)
-		const n = 8
+		// n cells over 8 nodes: about one source in eight starts at node
+		// 2 and avoids node 1, so the edge (1, 2) extends it and the
+		// policy runs; n = 64 puts several such cells in every column.
+		const nodes, n = 8, 64
 		rng := rand.New(rand.NewSource(seed))
 		col := make([]IRoute, n)
 		incumbent := make([]IRoute, n)
 		for x := range col {
-			col[x] = alg.FromRoute(RandomRoute(rng, n))
-			incumbent[x] = alg.FromRoute(RandomRoute(rng, n))
+			col[x] = alg.FromRoute(RandomRoute(rng, nodes))
+			incumbent[x] = alg.FromRoute(RandomRoute(rng, nodes))
 		}
 
 		// (a) Round trip through the packed lanes.
@@ -96,6 +105,17 @@ func FuzzColumnarPolicy(f *testing.F) {
 			if !alg.Equal(got[x], want) {
 				t.Fatalf("policy %q: kernel fold diverges at %d: got %s, interface %s (src %s ⊕ incumbent %s)",
 					src, x, alg.Format(got[x]), alg.Format(want), alg.Format(col[x]), alg.Format(incumbent[x]))
+			}
+		}
+
+		// (c) Kernel vs the reference carrier.
+		ref := Algebra{}
+		re := ref.Edge(1, 2, pol)
+		for x := range col {
+			want := ref.Choice(alg.ToRoute(incumbent[x]), re.Apply(alg.ToRoute(col[x])))
+			if g := alg.ToRoute(got[x]); !ref.Equal(g, want) {
+				t.Fatalf("policy %q: kernel fold diverges from the reference carrier at %d: got %s, reference %s",
+					src, x, g, want)
 			}
 		}
 	})

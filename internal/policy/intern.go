@@ -169,10 +169,12 @@ func (t *Interned) Path(r IRoute) paths.Path {
 }
 
 // Edge builds the interned edge weight f_{i,j,pol}, mirroring
-// Algebra.Edge: the path extends (one table probe) before the policy
-// runs, so conditions can inspect the new first hop.
+// Algebra.Edge: the path extends (one table lookup) before the policy
+// runs, so conditions can inspect the new first hop. The policy is
+// compiled here, once per edge, and both Apply and the columnar kernel
+// run the compiled program.
 func (t *Interned) Edge(i, j int, pol Policy) core.Edge[IRoute] {
-	return &polEdge{t: t, i: i, j: j, pol: pol, name: "f(" + pol.String() + ")"}
+	return &polEdge{t: t, i: i, j: j, prog: compile(pol), name: "f(" + pol.String() + ")"}
 }
 
 // polEdge is the interned edge weight as a named type, so the columnar
@@ -181,7 +183,7 @@ func (t *Interned) Edge(i, j int, pol Policy) core.Edge[IRoute] {
 type polEdge struct {
 	t    *Interned
 	i, j int
-	pol  Policy
+	prog program
 	name string
 }
 
@@ -194,74 +196,8 @@ func (e *polEdge) Apply(r IRoute) IRoute {
 	if id.IsInvalid() {
 		return InvalidIRoute
 	}
-	return e.t.apply(e.pol, IRoute{LPref: r.LPref, Comms: r.Comms, ID: id, Pad: r.Pad, plen: r.plen + 1})
+	return e.prog.run(e.t, IRoute{LPref: r.LPref, Comms: r.Comms, ID: id, Pad: r.Pad, plen: r.plen + 1})
 }
 
 // Label implements core.Edge.
 func (e *polEdge) Label() string { return e.name }
-
-// apply interprets a policy program over the interned carrier, the exact
-// analogue of Policy.Apply on Route: same constructors, same saturation,
-// same order of effects — only InPath tests run against the table.
-func (t *Interned) apply(pol Policy, r IRoute) IRoute {
-	if r.invalid {
-		return InvalidIRoute
-	}
-	switch p := pol.(type) {
-	case rejectPolicy:
-		return InvalidIRoute
-	case prependPolicy:
-		pad := int(r.Pad) + int(p.by)
-		if pad > 255 {
-			pad = 255
-		}
-		r.Pad = uint8(pad)
-		return r
-	case incrPrefPolicy:
-		lp := r.LPref + p.by
-		if lp < r.LPref { // saturate on wrap-around
-			lp = ^uint32(0)
-		}
-		r.LPref = lp
-		return r
-	case addCommPolicy:
-		r.Comms = r.Comms.Add(p.c)
-		return r
-	case delCommPolicy:
-		r.Comms = r.Comms.Remove(p.c)
-		return r
-	case composePolicy:
-		return t.apply(p.q, t.apply(p.p, r))
-	case conditionPolicy:
-		if t.eval(p.c, r) {
-			return t.apply(p.p, r)
-		}
-		return r
-	default:
-		// An externally defined Policy cannot see IRoute; round-trip
-		// through the reference carrier so custom policies keep working.
-		return t.FromRoute(pol.Apply(t.ToRoute(r)))
-	}
-}
-
-// eval interprets a condition over the interned carrier; InPath is the
-// only predicate that touches the path, answered by the table's
-// membership summary.
-func (t *Interned) eval(cond Condition, r IRoute) bool {
-	switch c := cond.(type) {
-	case andCond:
-		return t.eval(c.l, r) && t.eval(c.r, r)
-	case orCond:
-		return t.eval(c.l, r) || t.eval(c.r, r)
-	case notCond:
-		return !t.eval(c.c, r)
-	case inPathCond:
-		return !r.invalid && t.Tab.Contains(r.ID, c.node)
-	case inCommCond:
-		return !r.invalid && r.Comms.Has(c.c)
-	case lprefEqCond:
-		return !r.invalid && r.LPref == c.v
-	default:
-		return cond.Eval(t.ToRoute(r))
-	}
-}

@@ -76,16 +76,32 @@ func TestInternedConditionPath(t *testing.T) {
 	r := Valid(1, NewCommunitySet(3), paths.FromNodes(2, 1, 0))
 	ir := in.FromRoute(r)
 	want := pol.Apply(r)
-	if got := in.ToRoute(in.apply(pol, ir)); got.Compare(want) != 0 {
+	if got := in.ToRoute(compile(pol).run(in, ir)); got.Compare(want) != 0 {
 		t.Fatalf("InPath policy: %s, want %s", got, want)
 	}
 	// A custom policy type outside the AST must still work (via the
 	// reference round trip).
 	custom := customPolicy{}
-	if got := in.ToRoute(in.apply(custom, ir)); got.Compare(custom.Apply(r)) != 0 {
+	if got := in.ToRoute(compile(custom).run(in, ir)); got.Compare(custom.Apply(r)) != 0 {
 		t.Fatal("external policy mismatch")
 	}
+	// So must a custom condition, inside and/not so the compiled jumps
+	// around it are exercised too.
+	for _, pol := range []Policy{
+		If(And(customCond{}, InComm(3)), IncrPrefBy(5)),
+		IfElse(Not(customCond{}), Reject(), AddComm(9)),
+	} {
+		if got := in.ToRoute(compile(pol).run(in, ir)); got.Compare(pol.Apply(r)) != 0 {
+			t.Fatalf("external condition in %s: %s, want %s", pol, got, pol.Apply(r))
+		}
+	}
 }
+
+// customCond holds on routes with an odd local preference.
+type customCond struct{}
+
+func (customCond) Eval(r Route) bool { return !r.IsInvalid() && r.LPref%2 == 1 }
+func (customCond) String() string    { return "odd" }
 
 type customPolicy struct{}
 
