@@ -4,12 +4,13 @@
 // (parent PathID, head Arc), the head arc prepended to the parent path —
 // and each entry also records its first few children inline. A non-empty
 // path p can only be extended by an arc (i, head(p).From), so an Extend
-// hit is one entry load: check the source, then scan the child slots for
-// i. Only extensions of the empty path and children beyond the slot count
-// go through a map probe. Extend is allocation-free once the path exists,
-// equality is a single integer compare, and loop detection consults a
-// per-id node-membership summary (a bloom word) before falling back to
-// the parent walk. The Table is safe for concurrent use; lookups of
+// hit on one of those children is one entry load: check the source, then
+// scan the child slots for i. An extension of the empty path costs one
+// map probe, and a child beyond the slot count the entry load plus a map
+// probe. Extend is allocation-free once the path exists, equality is a
+// single integer compare, and loop detection consults a per-id
+// node-membership summary (a bloom word) before falling back to the
+// parent walk. The Table is safe for concurrent use; lookups of
 // already-interned paths proceed under a shared read lock.
 //
 // This is the NDN-DPDK recipe — intern variable-length name-like data
@@ -18,7 +19,10 @@
 // over and over, which hash-consing collapses into table hits.
 package paths
 
-import "sync"
+import (
+	"cmp"
+	"sync"
+)
 
 // PathID identifies an interned path within one Table. Ids from different
 // tables are not comparable. The zero value is EmptyID, matching Path's
@@ -38,9 +42,13 @@ func (p PathID) IsInvalid() bool { return p < 0 }
 // IsEmpty reports whether the id denotes [].
 func (p PathID) IsEmpty() bool { return p == EmptyID }
 
-// kidSlots is how many children an entry records inline. Most interned
-// paths are extended by few distinct tail nodes (a node's in-degree bounds
-// them), so a handful of slots answers nearly every hit without the map.
+// kidSlots is how many children an entry records inline. A path has at
+// most one child per in-neighbour of its source, so on topologies whose
+// in-degrees are at most kidSlots — the ring with chords of the E5 and
+// pv-policy workloads — every hit on a non-empty parent is answered by a
+// slot. Where in-degrees are higher (a clique, a star's hub) most
+// children overflow into the map, and a hit pays the entry load on top
+// of the probe; BenchmarkTableExtendSelWarm measures both cases.
 const kidSlots = 3
 
 // child is one inline child slot: the path (from, head(p).From) :: p has
@@ -51,36 +59,52 @@ type child struct {
 	id   PathID
 }
 
-// entry is one interned non-empty path: head is the first arc and parent
-// the id of the remaining suffix, so the arc sequence of id p is
-// head(p), head(parent(p)), … down to EmptyID.
+// entry is one interned non-empty path: the head arc (from, to) prepended
+// to the suffix parent, so the arc sequence of id p is head(p),
+// head(parent(p)), … down to EmptyID. The head's to is not stored: it is
+// the parent's from, or last when the parent is EmptyID. A hit reads from
+// and kids, which lead the entry so that they share a cache line.
 type entry struct {
+	from   int32 // source node (the first node of the path)
+	kids   [kidSlots]child
 	parent PathID
-	head   Arc
+	bloom  uint64 // membership summary over all nodes of the path
 	last   int32  // destination node (the last node of the path)
 	length int32  // number of arcs
-	bloom  uint64 // membership summary over all nodes of the path
-	kids   [kidSlots]child
 }
 
-// extKey is the hash-consing key of the children that do not sit in a
-// slot: extending parent by the arc (i, j). For a non-empty parent j is
-// redundant (it must equal the parent's source) but including it keeps
-// the empty-parent case — where j is free — in the same map.
-type extKey struct {
+// next returns the node after e's source: the head of e's suffix, or
+// e's destination when e is a single arc.
+func (t *Table) next(e *entry) int32 {
+	if e.parent == EmptyID {
+		return e.last
+	}
+	return t.at(e.parent).from
+}
+
+// rootKey is the index key of the one-arc path (i, j) :: [].
+type rootKey struct{ i, j int32 }
+
+// kidKey is the index key of a child of a non-empty parent that did not
+// fit in the parent's slots: (i, head(parent).From) :: parent. The head
+// of the arc is the parent's source, so it is not part of the key. Both
+// keys are eight bytes, which the map hashes and compares as one word.
+type kidKey struct {
 	parent PathID
-	i, j   int32
+	i      int32
 }
 
-// Table is a hash-consing table for simple paths. The zero value is not
-// usable; construct with NewTable. All methods are safe for concurrent
-// use: child slots and the index are written under the write lock only.
+// Table is a hash-consing table for simple paths over nodes that fit in
+// an int32. The zero value is not usable; construct with NewTable. All
+// methods are safe for concurrent use: child slots and the indexes are
+// written under the write lock only.
 type Table struct {
 	mu      sync.RWMutex
 	entries []entry
-	// index holds the extensions of EmptyID and the children of entries
-	// whose slots are full.
-	index map[extKey]PathID
+	// roots holds the extensions of EmptyID, and more the children of
+	// entries whose slots are full.
+	roots map[rootKey]PathID
+	more  map[kidKey]PathID
 	// aliased records whether any interned node falls outside [0, 63];
 	// while false, the bloom word is an exact membership set and the
 	// parent-walk fallback of Contains is never needed.
@@ -89,7 +113,7 @@ type Table struct {
 
 // NewTable returns an empty table containing only [] and ⊥.
 func NewTable() *Table {
-	return &Table{index: make(map[extKey]PathID)}
+	return &Table{roots: make(map[rootKey]PathID), more: make(map[kidKey]PathID)}
 }
 
 // nodeBit is the bloom-word bit of node v. For the experiment scales
@@ -126,7 +150,7 @@ func (t *Table) Source(p PathID) (int, bool) {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return int(t.at(p).head.From), true
+	return int(t.at(p).from), true
 }
 
 // Destination returns the last node of p; ok is false for ⊥ and [].
@@ -169,7 +193,7 @@ func (t *Table) contains(p PathID, v int) bool {
 		return true
 	}
 	for {
-		if int(e.head.From) == v {
+		if int(e.from) == v {
 			return true
 		}
 		if e.parent == EmptyID {
@@ -190,7 +214,7 @@ func (t *Table) CanExtend(p PathID, i, j int) bool {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if int(t.at(p).head.From) != j {
+	if int(t.at(p).from) != j {
 		return false
 	}
 	return !t.contains(p, i)
@@ -217,7 +241,7 @@ func (t *Table) Extend(p PathID, i, j int) PathID {
 	if id, ok := t.find(p, i, j); ok {
 		return id
 	}
-	e := entry{parent: p, head: Arc{From: i, To: j}, last: int32(j), length: 1, bloom: nodeBit(i) | nodeBit(j)}
+	e := entry{from: int32(i), parent: p, last: int32(j), length: 1, bloom: nodeBit(i) | nodeBit(j)}
 	if p != EmptyID {
 		pe := t.at(p)
 		e.last = pe.last
@@ -229,16 +253,18 @@ func (t *Table) Extend(p PathID, i, j int) PathID {
 	}
 	t.entries = append(t.entries, e)
 	id = PathID(len(t.entries))
-	if p != EmptyID {
-		kids := &t.at(p).kids
-		for k := range kids {
-			if kids[k].id == EmptyID {
-				kids[k] = child{from: int32(i), id: id}
-				return id
-			}
+	if p == EmptyID {
+		t.roots[rootKey{i: int32(i), j: int32(j)}] = id
+		return id
+	}
+	kids := &t.at(p).kids
+	for k := range kids {
+		if kids[k].id == EmptyID {
+			kids[k] = child{from: int32(i), id: id}
+			return id
 		}
 	}
-	t.index[extKey{parent: p, i: int32(i), j: int32(j)}] = id
+	t.more[kidKey{parent: p, i: int32(i)}] = id
 	return id
 }
 
@@ -248,7 +274,7 @@ func (t *Table) Extend(p PathID, i, j int) PathID {
 // not interned yet. The child search runs before the loop check, so the
 // steady state never pays the membership test.
 func (t *Table) lookup(p PathID, i, j int) (PathID, bool) {
-	if p != EmptyID && int(t.at(p).head.From) != j {
+	if p != EmptyID && int(t.at(p).from) != j {
 		return InvalidID, true
 	}
 	if id, ok := t.find(p, i, j); ok {
@@ -265,18 +291,20 @@ func (t *Table) lookup(p PathID, i, j int) (PathID, bool) {
 // j is p's source. A child of a non-empty parent sits in a slot unless
 // all slots were taken when it was interned.
 func (t *Table) find(p PathID, i, j int) (PathID, bool) {
-	if p != EmptyID {
-		kids := &t.at(p).kids
-		for k := range kids {
-			switch c := kids[k]; {
-			case c.id == EmptyID:
-				return InvalidID, false // a free slot: no child went to the map
-			case c.from == int32(i):
-				return c.id, true
-			}
+	if p == EmptyID {
+		id, ok := t.roots[rootKey{i: int32(i), j: int32(j)}]
+		return id, ok
+	}
+	kids := &t.at(p).kids
+	for k := range kids {
+		switch c := kids[k]; {
+		case c.id == EmptyID:
+			return InvalidID, false // a free slot: no child went to the map
+		case c.from == int32(i):
+			return c.id, true
 		}
 	}
-	id, ok := t.index[extKey{parent: p, i: int32(i), j: int32(j)}]
+	id, ok := t.more[kidKey{parent: p, i: int32(i)}]
 	return id, ok
 }
 
@@ -379,7 +407,8 @@ func (t *Table) Path(p PathID) Path {
 	defer t.mu.RUnlock()
 	arcs := make([]Arc, t.at(p).length)
 	for k, id := 0, p; id != EmptyID; k, id = k+1, t.at(id).parent {
-		arcs[k] = t.at(id).head
+		e := t.at(id)
+		arcs[k] = Arc{From: int(e.from), To: int(t.next(e))}
 	}
 	return Path{arcs: arcs}
 }
@@ -394,11 +423,10 @@ func (t *Table) Nodes(p PathID) []int {
 	defer t.mu.RUnlock()
 	n := int(t.at(p).length)
 	out := make([]int, 0, n+1)
-	out = append(out, int(t.at(p).head.From))
 	for id := p; id != EmptyID; id = t.at(id).parent {
-		out = append(out, int(t.at(id).head.To))
+		out = append(out, int(t.at(id).from))
 	}
-	return out
+	return append(out, int(t.at(p).last))
 }
 
 // Compare orders ids exactly as Path.Compare orders the paths they
@@ -428,11 +456,16 @@ func (t *Table) Compare(a, b PathID) int {
 		}
 		return 1
 	}
+	// A head's to is the next head's from, so comparing froms down the
+	// two chains compares the arcs; only the last arcs' to is last.
 	for {
-		if d := compareArc(ea.head, eb.head); d != 0 {
+		if d := cmp.Compare(ea.from, eb.from); d != 0 {
 			return d
 		}
 		if ea.parent == eb.parent { // shared suffix: equal from here on
+			if ea.parent == EmptyID {
+				return cmp.Compare(ea.last, eb.last)
+			}
 			return 0
 		}
 		ea, eb = t.at(ea.parent), t.at(eb.parent)

@@ -315,7 +315,10 @@ func internConcurrentOverflow(t *testing.T) {
 	}
 	// root, (i, 0) and (i, far) from the empty path, and root's children
 	// beyond its slots.
-	if want := 1 + 2*tails + tails - kidSlots; len(tab.index) != want {
-		t.Fatalf("index holds %d extensions, want %d", len(tab.index), want)
+	if got, want := len(tab.roots), 1+2*tails; got != want {
+		t.Fatalf("root index holds %d extensions, want %d", got, want)
+	}
+	if got, want := len(tab.more), tails-kidSlots; got != want {
+		t.Fatalf("overflow index holds %d children, want %d", got, want)
 	}
 }

@@ -90,6 +90,10 @@ func TestInternedConditionPath(t *testing.T) {
 	for _, pol := range []Policy{
 		If(And(customCond{}, InComm(3)), IncrPrefBy(5)),
 		IfElse(Not(customCond{}), Reject(), AddComm(9)),
+		// A node that is no op operand is tested on the reference
+		// carrier too.
+		If(InPath(-1), Reject()),
+		IfElse(Not(InPath(-2)), AddComm(4), Reject()),
 	} {
 		if got := in.ToRoute(compile(pol).run(in, ir)); got.Compare(pol.Apply(r)) != 0 {
 			t.Fatalf("external condition in %s: %s, want %s", pol, got, pol.Apply(r))

@@ -1,5 +1,7 @@
 package policy
 
+import "math"
+
 // A program is a policy compiled for the interned carrier: a flat op list
 // run front to back, with every condition lowered to leaf tests that jump
 // forward. Compiling once per edge takes the AST walk, the interface
@@ -17,24 +19,23 @@ const (
 	opIncrPref               // raise LPref by arg, saturating on wrap-around
 	opAddComm                // add community arg
 	opDelComm                // remove community arg
-	opPolicy                 // apply the external policy pol
+	opPolicy                 // apply the external Policy in ext
 	opIfComm                 // jump if Comms.Has(arg) == when
 	opIfLPref                // jump if (LPref == arg) == when
-	opIfPath                 // jump if the path contains node == when
-	opIfCond                 // jump if the external condition cond holds == when
+	opIfPath                 // jump if the path contains node arg == when
+	opIfCond                 // jump if the external Condition in ext holds == when
 )
 
 // op is one instruction. The jump ops continue at jump when their leaf
 // test equals when, and fall through otherwise; jumps only go forward,
-// and jump == len(program) ends the run.
+// and jump == len(program) ends the run. arg is the operand of the
+// built-in ops and ext the Policy or Condition of the external ones.
 type op struct {
 	code opcode
 	when bool
 	jump int32
 	arg  uint32
-	node int
-	pol  Policy
-	cond Condition
+	ext  any
 }
 
 // compile lowers pol into a program with exactly the semantics of
@@ -70,7 +71,7 @@ func (prog *program) policy(pol Policy) {
 		prog.policy(p.p)
 		prog.patch(skip)
 	default:
-		*prog = append(*prog, op{code: opPolicy, pol: pol})
+		*prog = append(*prog, op{code: opPolicy, ext: pol})
 	}
 }
 
@@ -112,9 +113,13 @@ func (prog *program) cond(cd Condition, sense bool, fix *[]int) {
 	case lprefEqCond:
 		leaf(op{code: opIfLPref, arg: x.v})
 	case inPathCond:
-		leaf(op{code: opIfPath, node: x.node})
+		if uint64(x.node) > math.MaxUint32 { // not an operand; test it on the reference carrier
+			leaf(op{code: opIfCond, ext: cd})
+			return
+		}
+		leaf(op{code: opIfPath, arg: uint32(x.node)})
 	default:
-		leaf(op{code: opIfCond, cond: cd})
+		leaf(op{code: opIfCond, ext: cd})
 	}
 }
 
@@ -156,7 +161,7 @@ func (prog program) run(t *Interned, r IRoute) IRoute {
 			r.Comms = r.Comms.Remove(Community(o.arg))
 			continue
 		case opPolicy:
-			if r = t.FromRoute(o.pol.Apply(t.ToRoute(r))); r.invalid {
+			if r = t.FromRoute(o.ext.(Policy).Apply(t.ToRoute(r))); r.invalid {
 				return InvalidIRoute
 			}
 			continue
@@ -165,9 +170,9 @@ func (prog program) run(t *Interned, r IRoute) IRoute {
 		case opIfLPref:
 			hit = r.LPref == o.arg
 		case opIfPath:
-			hit = t.Tab.Contains(r.ID, o.node)
+			hit = t.Tab.Contains(r.ID, int(o.arg))
 		case opIfCond:
-			hit = o.cond.Eval(t.ToRoute(r))
+			hit = o.ext.(Condition).Eval(t.ToRoute(r))
 		}
 		if hit == o.when {
 			pc = int(o.jump)
